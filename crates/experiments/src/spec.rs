@@ -1212,6 +1212,11 @@ impl ScenarioBuilder {
                     self.nodes = n;
                     if n == 0 {
                         self.out_of_range(key, "must be at least 1");
+                    } else if n > u32::MAX as usize {
+                        // Node ids are u32: a larger network cannot be
+                        // addressed, and its buffers would abort the
+                        // allocator before anything else noticed.
+                        self.out_of_range(key, "must be at most 4294967295 (node ids are 32-bit)");
                     }
                 }
             }
