@@ -11,11 +11,32 @@
 //! - a **faded-edge overlay** so interference can hide a base edge without
 //!   forgetting it,
 //! - a mutable **base adjacency** so mobility can rewire a node wholesale,
-//! - and, the key piece, an **incrementally maintained active adjacency**:
-//!   per node, the sorted list of neighbors that are alive and reachable
-//!   over a non-faded edge. Reads ([`GraphView`]) are exactly as fast as on
-//!   a static [`Topology`]; every mutation pays the incremental cost of
-//!   updating the affected lists instead.
+//! - and, the key piece, a **maintained active adjacency**: per node, the
+//!   sorted list of neighbors that are alive and reachable over a
+//!   non-faded edge. Reads ([`GraphView`]) are exactly as fast as on a
+//!   static [`Topology`]; mutations pay for keeping the lists current.
+//!
+//! # Two ways to mutate
+//!
+//! The one-mutation methods ([`kill`](DynamicTopology::kill),
+//! [`revive`](DynamicTopology::revive), …) update every affected active
+//! list **incrementally**: a departure removes the node from each of its
+//! neighbors' lists with a binary search and a shift. That is the cheapest
+//! way to change one entry per list, and it is what an engine that
+//! interleaves single mutations with reads (the serial event-driven
+//! oracle) needs.
+//!
+//! An engine that applies many mutations before it next reads — the sync
+//! engine at a round boundary, the sliced engine at a slice start — opens
+//! a [`TopologyBatch`] with [`batch`](DynamicTopology::batch) instead.
+//! Batched mutations update the alive mask, base adjacency and fade flags
+//! at once but only *mark* the active lists they touch; dropping the guard
+//! rebuilds each marked list once from its node's base slot. Under heavy
+//! churn most lists are touched many times per round, so settling each
+//! once wins. For a single mutation it loses: a rebuild rewrites a whole
+//! list to change one entry, which is why both paths exist. They are held
+//! equal by a property test: after each batch every active list is the
+//! one the same calls would have produced one at a time.
 //!
 //! # Memory layout
 //!
@@ -66,6 +87,9 @@ pub struct DynamicTopology {
     alive_count: usize,
     /// Slab capacity stranded by slot relocations, pending compaction.
     waste: usize,
+    /// One bit per node whose active prefix the open [`TopologyBatch`]
+    /// must rebuild; all clear outside a batch.
+    dirty: Vec<u64>,
 }
 
 impl DynamicTopology {
@@ -88,6 +112,7 @@ impl DynamicTopology {
             alive: vec![true; n],
             alive_count: n,
             waste: 0,
+            dirty: vec![0; n.div_ceil(64)],
         }
     }
 
@@ -229,8 +254,11 @@ impl DynamicTopology {
         // Slot caps already exclude stranded slots (grow_slot swaps the
         // cap out as it adds the old one to waste), so their sum is the
         // live slab footprint.
+        if self.waste < 256 {
+            return;
+        }
         let live: usize = self.cap.iter().map(|&c| c as usize).sum();
-        if self.waste < 256 || self.waste < live {
+        if self.waste < live {
             return;
         }
         let n = self.num_nodes();
@@ -263,15 +291,101 @@ impl DynamicTopology {
         self.waste = 0;
     }
 
+    /// Open a batch of mutations; see [`TopologyBatch`]. The active lists
+    /// settle when the returned guard drops.
+    pub fn batch(&mut self) -> TopologyBatch<'_> {
+        TopologyBatch { topo: self }
+    }
+
+    /// Flip `u`'s alive bit to `up`. Returns false if it already was.
+    fn set_alive(&mut self, u: usize, up: bool) -> bool {
+        if self.alive[u] == up {
+            return false;
+        }
+        self.alive[u] = up;
+        if up {
+            self.alive_count += 1;
+        } else {
+            self.alive_count -= 1;
+        }
+        true
+    }
+
+    /// Set the fade flag of base edge `u — v` on both endpoints' slots.
+    /// Returns false if the edge is not in the base graph or the flag
+    /// already had that value.
+    fn set_faded(&mut self, u: NodeId, v: NodeId, faded: bool) -> bool {
+        let Some(iu) = self.base_pos(u.index(), v) else {
+            return false;
+        };
+        if self.faded[iu] == faded {
+            return false;
+        }
+        let iv = self
+            .base_pos(v.index(), u)
+            .expect("base adjacency must be symmetric");
+        self.faded[iu] = faded;
+        self.faded[iv] = faded;
+        true
+    }
+
+    /// Mark `u`'s active prefix for rebuild when the batch settles.
+    #[inline]
+    fn mark(&mut self, u: usize) {
+        self.dirty[u / 64] |= 1 << (u % 64);
+    }
+
+    /// Mark `u` and every base neighbor of `u`.
+    fn mark_neighborhood(&mut self, u: usize) {
+        self.mark(u);
+        let s = self.start[u] as usize;
+        for k in s..s + self.base_len[u] as usize {
+            self.mark(self.base[k].index());
+        }
+    }
+
+    /// Rebuild every marked node's active prefix once, clear the mask,
+    /// then compact if batched rewires stranded enough slab.
+    fn settle(&mut self) {
+        for w in 0..self.dirty.len() {
+            let mut bits = std::mem::take(&mut self.dirty[w]);
+            while bits != 0 {
+                self.rebuild_active(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        self.maybe_compact();
+    }
+
+    /// Refill `u`'s active prefix from its base slot: the base neighbors
+    /// that are alive over a non-faded edge, or nothing if `u` is dead.
+    fn rebuild_active(&mut self, u: usize) {
+        let s = self.start[u] as usize;
+        let blen = if self.alive[u] {
+            self.base_len[u] as usize
+        } else {
+            0
+        };
+        let base = &self.base[s..s + blen];
+        let faded = &self.faded[s..s + blen];
+        let active = &mut self.active[s..s + blen];
+        let mut alen = 0usize;
+        for (&v, &f) in base.iter().zip(faded) {
+            // Branchless filter: always write, advance only on a keep.
+            // base is sorted, so the kept prefix is too.
+            active[alen] = v;
+            alen += (self.alive[v.index()] & !f) as usize;
+        }
+        self.active_len[u] = alen as u32;
+    }
+
     /// Take `node` down. Its active neighbor list empties and it vanishes
     /// from every neighbor's list. Returns false if it was already dead.
     pub fn kill(&mut self, node: NodeId) -> bool {
         let ui = node.index();
-        if !self.alive[ui] {
+        if !self.set_alive(ui, false) {
             return false;
         }
-        self.alive[ui] = false;
-        self.alive_count -= 1;
         // Peers' removals shift only *their* slots, never ours, so an
         // index walk over our (untouched) active prefix is safe.
         for k in 0..self.active_len[ui] as usize {
@@ -287,11 +401,9 @@ impl DynamicTopology {
     /// Returns false if it was already alive.
     pub fn revive(&mut self, node: NodeId) -> bool {
         let ui = node.index();
-        if self.alive[ui] {
+        if !self.set_alive(ui, true) {
             return false;
         }
-        self.alive[ui] = true;
-        self.alive_count += 1;
         let s = self.start[ui] as usize;
         let mut alen = 0usize;
         for k in 0..self.base_len[ui] as usize {
@@ -310,17 +422,9 @@ impl DynamicTopology {
     /// Fade the base edge `u — v` out (interference). Returns false if the
     /// edge does not exist in the base graph or is already faded.
     pub fn fade_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        let Some(iu) = self.base_pos(u.index(), v) else {
-            return false;
-        };
-        if self.faded[iu] {
+        if !self.set_faded(u, v, true) {
             return false;
         }
-        let iv = self
-            .base_pos(v.index(), u)
-            .expect("base adjacency must be symmetric");
-        self.faded[iu] = true;
-        self.faded[iv] = true;
         if self.alive[u.index()] && self.alive[v.index()] {
             self.active_remove(u.index(), v);
             self.active_remove(v.index(), u);
@@ -330,17 +434,9 @@ impl DynamicTopology {
 
     /// Restore a previously faded edge. Returns false if it was not faded.
     pub fn restore_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        let Some(iu) = self.base_pos(u.index(), v) else {
-            return false;
-        };
-        if !self.faded[iu] {
+        if !self.set_faded(u, v, false) {
             return false;
         }
-        let iv = self
-            .base_pos(v.index(), u)
-            .expect("base adjacency must be symmetric");
-        self.faded[iu] = false;
-        self.faded[iv] = false;
         if self.alive[u.index()] && self.alive[v.index()] {
             self.active_insert(u.index(), v);
             self.active_insert(v.index(), u);
@@ -355,12 +451,40 @@ impl DynamicTopology {
     /// nodes too — the new edges activate when the node revives.
     pub fn rewire(&mut self, node: NodeId, new_neighbors: &[NodeId]) {
         let ui = node.index();
-        // Detach from the old neighborhood (their slots shift; ours is
-        // only read).
+        // Leave the old neighbors' active lists (their slots shift; ours
+        // is only read).
+        for k in 0..self.base_len[ui] as usize {
+            let v = self.base[self.start[ui] as usize + k];
+            self.active_remove(v.index(), node);
+        }
+        let fresh = self.replace_base(node, new_neighbors);
+        if self.alive[ui] {
+            // Our slot cannot relocate any more (only peers' slots grew),
+            // and fresh is sorted, so pushing keeps the prefix ordered.
+            let s = self.start[ui] as usize;
+            let mut alen = 0usize;
+            for &v in &fresh {
+                if self.alive[v.index()] {
+                    self.active[s + alen] = v;
+                    alen += 1;
+                    self.active_insert(v.index(), node);
+                }
+            }
+            self.active_len[ui] = alen as u32;
+        }
+        self.maybe_compact();
+    }
+
+    /// The base-adjacency side of a rewire: detach `node` from its old
+    /// neighbors' base slots, write the cleaned, sorted `new_neighbors`
+    /// (un-faded) into its own slot, and add `node` to theirs. Empties
+    /// `node`'s active prefix for the caller to refill, and returns the
+    /// new neighbor list.
+    fn replace_base(&mut self, node: NodeId, new_neighbors: &[NodeId]) -> Vec<NodeId> {
+        let ui = node.index();
         for k in 0..self.base_len[ui] as usize {
             let v = self.base[self.start[ui] as usize + k];
             self.base_remove(v.index(), node);
-            self.active_remove(v.index(), node);
         }
         self.base_len[ui] = 0;
         self.active_len[ui] = 0;
@@ -381,21 +505,90 @@ impl DynamicTopology {
             self.faded[s + k] = false;
         }
         self.base_len[ui] = fresh.len() as u32;
-
-        let mut alen = 0usize;
         for &v in &fresh {
             self.base_insert(v.index(), node);
-            if self.alive[ui] && self.alive[v.index()] {
-                // Our slot cannot relocate here (only v's can), and fresh
-                // is sorted, so pushing keeps the active prefix ordered.
-                let s = self.start[ui] as usize;
-                self.active[s + alen] = v;
-                alen += 1;
-                self.active_insert(v.index(), node);
-            }
         }
-        self.active_len[ui] = alen as u32;
-        self.maybe_compact();
+        fresh
+    }
+}
+
+/// A batch of mutations on a [`DynamicTopology`], open from
+/// [`DynamicTopology::batch`] until the guard drops.
+///
+/// Each mutation updates the alive mask, the base adjacency and the fade
+/// flags at once, so its return value, [`is_alive`](Self::is_alive) and
+/// [`alive_count`](Self::alive_count) read exactly as after the same call
+/// made one at a time. The active lists it touches are only marked; the
+/// drop rebuilds each marked list once from its node's base slot. The
+/// guard holds the topology's `&mut` borrow, so no half-settled active
+/// list can be read while the batch is open.
+pub struct TopologyBatch<'a> {
+    topo: &'a mut DynamicTopology,
+}
+
+impl TopologyBatch<'_> {
+    /// Is `node` alive, counting this batch's mutations so far?
+    #[inline]
+    pub fn is_alive(&self, node: NodeId) -> bool {
+        self.topo.is_alive(node)
+    }
+
+    /// How many nodes are alive, counting this batch's mutations so far.
+    #[inline]
+    pub fn alive_count(&self) -> usize {
+        self.topo.alive_count
+    }
+
+    /// Batched [`DynamicTopology::kill`].
+    pub fn kill(&mut self, node: NodeId) -> bool {
+        let changed = self.topo.set_alive(node.index(), false);
+        if changed {
+            self.topo.mark_neighborhood(node.index());
+        }
+        changed
+    }
+
+    /// Batched [`DynamicTopology::revive`].
+    pub fn revive(&mut self, node: NodeId) -> bool {
+        let changed = self.topo.set_alive(node.index(), true);
+        if changed {
+            self.topo.mark_neighborhood(node.index());
+        }
+        changed
+    }
+
+    /// Batched [`DynamicTopology::fade_edge`].
+    pub fn fade_edge(&mut self, u: NodeId, v: NodeId) -> bool {
+        self.set_faded(u, v, true)
+    }
+
+    /// Batched [`DynamicTopology::restore_edge`].
+    pub fn restore_edge(&mut self, u: NodeId, v: NodeId) -> bool {
+        self.set_faded(u, v, false)
+    }
+
+    fn set_faded(&mut self, u: NodeId, v: NodeId, faded: bool) -> bool {
+        let changed = self.topo.set_faded(u, v, faded);
+        if changed {
+            self.topo.mark(u.index());
+            self.topo.mark(v.index());
+        }
+        changed
+    }
+
+    /// Batched [`DynamicTopology::rewire`]. Compaction waits for the
+    /// settle.
+    pub fn rewire(&mut self, node: NodeId, new_neighbors: &[NodeId]) {
+        self.topo.mark_neighborhood(node.index());
+        for v in self.topo.replace_base(node, new_neighbors) {
+            self.topo.mark(v.index());
+        }
+    }
+}
+
+impl Drop for TopologyBatch<'_> {
+    fn drop(&mut self) {
+        self.topo.settle();
     }
 }
 

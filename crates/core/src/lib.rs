@@ -44,7 +44,7 @@ pub mod rng;
 pub mod time;
 pub mod topology;
 
-pub use dynamic::DynamicTopology;
+pub use dynamic::{DynamicTopology, TopologyBatch};
 pub use matching::{
     resolve_connections, resolve_connections_sharded, Connection, IncrementalMatcher, Intent,
     MatcherChunk, PeerState, Resolution, MATCH_REGIONS,

@@ -1,8 +1,12 @@
 //! Property tests for the static topology builders: exact edge counts for
 //! the regular families, structural invariants of `from_edges` (symmetry,
 //! sortedness, dedup), and connectivity across all builders and sizes.
+//! Also the equivalence of the two ways to mutate a `DynamicTopology`:
+//! one call at a time, or in batches.
 
-use gossip_core::{NodeId, Rng, Topology};
+use std::collections::BTreeSet;
+
+use gossip_core::{DynamicTopology, NodeId, Rng, Topology, TopologyBatch};
 
 /// Every adjacency list is sorted, duplicate-free, self-loop-free, and
 /// symmetric (`v ∈ adj[u]` iff `u ∈ adj[v]`).
@@ -167,4 +171,247 @@ fn builders_degrade_gracefully_on_empty_graphs() {
         assert_eq!(t.num_edges(), 0);
         assert!(t.is_connected(), "empty graph counts as connected");
     }
+}
+
+/// One mutation of a storm, drawn once and replayed on both paths.
+#[derive(Clone, Debug)]
+enum Op {
+    Kill(NodeId),
+    Revive(NodeId),
+    Fade(NodeId, NodeId),
+    Restore(NodeId, NodeId),
+    Rewire(NodeId, Vec<NodeId>),
+}
+
+impl Op {
+    fn apply(&self, t: &mut DynamicTopology) -> bool {
+        match self {
+            Op::Kill(u) => t.kill(*u),
+            Op::Revive(u) => t.revive(*u),
+            Op::Fade(u, v) => t.fade_edge(*u, *v),
+            Op::Restore(u, v) => t.restore_edge(*u, *v),
+            Op::Rewire(u, fresh) => {
+                t.rewire(*u, fresh);
+                true
+            }
+        }
+    }
+
+    fn apply_in(&self, b: &mut TopologyBatch<'_>) -> bool {
+        match self {
+            Op::Kill(u) => b.kill(*u),
+            Op::Revive(u) => b.revive(*u),
+            Op::Fade(u, v) => b.fade_edge(*u, *v),
+            Op::Restore(u, v) => b.restore_edge(*u, *v),
+            Op::Rewire(u, fresh) => {
+                b.rewire(*u, fresh);
+                true
+            }
+        }
+    }
+}
+
+/// A set-based model of the base graph, fade flags and alive mask, to
+/// check that every active list is the base list filtered by
+/// `alive && !faded`.
+struct Model {
+    base: Vec<BTreeSet<u32>>,
+    faded: BTreeSet<(u32, u32)>,
+    alive: Vec<bool>,
+}
+
+impl Model {
+    fn new(t: &Topology) -> Self {
+        let n = t.num_nodes();
+        Model {
+            base: (0..n)
+                .map(|u| t.neighbors(NodeId(u as u32)).iter().map(|v| v.0).collect())
+                .collect(),
+            faded: BTreeSet::new(),
+            alive: vec![true; n],
+        }
+    }
+
+    fn edge(u: NodeId, v: NodeId) -> (u32, u32) {
+        (u.0.min(v.0), u.0.max(v.0))
+    }
+
+    /// Mirror `op`, given whether the topology reported a change.
+    fn apply(&mut self, op: &Op, changed: bool) {
+        match op {
+            Op::Kill(u) => self.alive[u.index()] = false,
+            Op::Revive(u) => self.alive[u.index()] = true,
+            Op::Fade(u, v) if changed => {
+                self.faded.insert(Self::edge(*u, *v));
+            }
+            Op::Restore(u, v) if changed => {
+                self.faded.remove(&Self::edge(*u, *v));
+            }
+            Op::Fade(..) | Op::Restore(..) => {}
+            Op::Rewire(u, fresh) => {
+                for w in std::mem::take(&mut self.base[u.index()]) {
+                    self.base[w as usize].remove(&u.0);
+                    self.faded.remove(&Self::edge(*u, NodeId(w)));
+                }
+                for &f in fresh {
+                    if f != *u && f.index() < self.alive.len() {
+                        self.base[u.index()].insert(f.0);
+                        self.base[f.index()].insert(u.0);
+                    }
+                }
+            }
+        }
+    }
+
+    fn active(&self, u: usize) -> Vec<NodeId> {
+        if !self.alive[u] {
+            return Vec::new();
+        }
+        self.base[u]
+            .iter()
+            .filter(|&&v| {
+                self.alive[v as usize]
+                    && !self
+                        .faded
+                        .contains(&Self::edge(NodeId(u as u32), NodeId(v)))
+            })
+            .map(|&v| NodeId(v))
+            .collect()
+    }
+}
+
+/// Draw the next storm op from the one-at-a-time copy's current state,
+/// so fades mostly hit live edges and restores mostly hit faded ones.
+fn draw_op(rng: &mut Rng, t: &DynamicTopology, faded: &[(NodeId, NodeId)]) -> Op {
+    let n = t.num_nodes();
+    let u = NodeId(rng.gen_range(n) as u32);
+    match rng.gen_range(10) {
+        0..=2 => Op::Kill(u),
+        3..=5 => Op::Revive(u),
+        6 | 7 => {
+            let active = t.active_neighbors(u);
+            let v = if active.is_empty() || rng.gen_range(8) == 0 {
+                NodeId(rng.gen_range(n) as u32)
+            } else {
+                active[rng.gen_range(active.len())]
+            };
+            Op::Fade(u, v)
+        }
+        8 if !faded.is_empty() => {
+            let (a, b) = faded[rng.gen_range(faded.len())];
+            Op::Restore(b, a)
+        }
+        8 => Op::Restore(u, NodeId(rng.gen_range(n) as u32)),
+        _ => {
+            // Up to 12 peers outgrows ring and grid slots, so rewires
+            // relocate slots mid-batch; self-loops, duplicates and one
+            // out-of-range id exercise the input cleaning.
+            let deg = rng.gen_range(13);
+            let mut fresh: Vec<NodeId> =
+                (0..deg).map(|_| NodeId(rng.gen_range(n) as u32)).collect();
+            if rng.gen_range(4) == 0 {
+                fresh.push(u);
+                fresh.push(NodeId(n as u32 + 3));
+            }
+            Op::Rewire(u, fresh)
+        }
+    }
+}
+
+/// Run a seeded storm on `topo` twice — one call at a time, and cut into
+/// batches of random size — and require the same return values, the
+/// same alive state, and identical active lists at every batch end, each
+/// equal to its node's base list filtered by `alive && !faded`.
+fn check_batches_match_single_calls(topo: &Topology, seed: u64, ops: usize) {
+    let name = topo.name();
+    let mut rng = Rng::new(seed);
+    let mut single = DynamicTopology::new(topo);
+    let mut batched = DynamicTopology::new(topo);
+    let mut model = Model::new(topo);
+    let mut faded: Vec<(NodeId, NodeId)> = Vec::new();
+    let mut done = 0;
+    while done < ops {
+        let size = rng.gen_range(41);
+        let mut batch = batched.batch();
+        for _ in 0..size {
+            let op = draw_op(&mut rng, &single, &faded);
+            let want = op.apply(&mut single);
+            let got = op.apply_in(&mut batch);
+            assert_eq!(got, want, "{name} seed {seed}: {op:?} returned differently");
+            for u in 0..single.num_nodes() as u32 {
+                assert_eq!(batch.is_alive(NodeId(u)), single.is_alive(NodeId(u)));
+            }
+            assert_eq!(batch.alive_count(), single.alive_count());
+            model.apply(&op, want);
+            match op {
+                Op::Fade(u, v) if want => faded.push((u, v)),
+                Op::Restore(..) | Op::Rewire(..) => {
+                    faded.retain(|&(a, b)| model.faded.contains(&Model::edge(a, b)));
+                }
+                _ => {}
+            }
+        }
+        drop(batch);
+        done += size;
+        assert_eq!(batched.alive_count(), single.alive_count());
+        assert_eq!(batched.active_edge_count(), single.active_edge_count());
+        for u in 0..single.num_nodes() {
+            let node = NodeId(u as u32);
+            assert_eq!(
+                batched.active_neighbors(node),
+                single.active_neighbors(node),
+                "{name} seed {seed}: node {u} after {done} ops"
+            );
+            assert_eq!(
+                batched.active_neighbors(node),
+                model.active(u),
+                "{name} seed {seed}: node {u} is not filter(base, alive && !faded)"
+            );
+        }
+    }
+}
+
+#[test]
+fn batched_mutations_match_one_at_a_time_calls() {
+    for seed in 1..=4u64 {
+        check_batches_match_single_calls(&Topology::ring(40), seed, 1500);
+        check_batches_match_single_calls(&Topology::grid(49), seed, 1500);
+        let rgg = Topology::random_geometric(150, &mut Rng::new(seed));
+        check_batches_match_single_calls(&rgg, seed, 1500);
+    }
+}
+
+#[test]
+fn a_rewire_that_relocates_slots_inside_a_batch_settles_correctly() {
+    let topo = Topology::ring(8);
+    let ids = |raw: &[u32]| raw.iter().map(|&v| NodeId(v)).collect::<Vec<_>>();
+    let mut single = DynamicTopology::new(&topo);
+    let mut batched = DynamicTopology::new(&topo);
+    // Node 0's slot holds 2 entries: a rewire to 6 peers relocates it,
+    // and the peers' full slots relocate as 0 joins them. A second rewire
+    // and a fade then work on the moved slots within the same batch.
+    let ops = [
+        Op::Kill(NodeId(3)),
+        Op::Rewire(NodeId(0), ids(&[2, 3, 4, 5, 6, 7])),
+        Op::Fade(NodeId(0), NodeId(5)),
+        Op::Rewire(NodeId(4), ids(&[0, 1, 2, 6])),
+        Op::Revive(NodeId(3)),
+        Op::Restore(NodeId(5), NodeId(0)),
+        Op::Fade(NodeId(0), NodeId(4)),
+    ];
+    {
+        let mut batch = batched.batch();
+        for op in &ops {
+            assert_eq!(op.apply_in(&mut batch), op.apply(&mut single), "{op:?}");
+        }
+    }
+    for u in 0..8u32 {
+        assert_eq!(
+            batched.active_neighbors(NodeId(u)),
+            single.active_neighbors(NodeId(u)),
+            "node {u}"
+        );
+    }
+    assert_eq!(batched.active_neighbors(NodeId(0)), ids(&[2, 3, 5, 6, 7]));
+    assert_eq!(batched.active_neighbors(NodeId(4)), ids(&[1, 2, 6]));
 }

@@ -16,8 +16,10 @@
 //!   [`MutationStream`]: a lazy, time-ordered, seed-deterministic sequence
 //!   of [`Mutation`]s;
 //! - a scheduler drains the stream and applies each [`MutationKind`] to a
-//!   [`DynamicTopology`] — the synchronous engine at round boundaries,
-//!   the event-driven engine interleaved in its event heap.
+//!   [`DynamicTopology`] — the synchronous engine one batch per round
+//!   boundary, the sliced engine one batch per slice, and the serial
+//!   event-driven engine one mutation at a time, interleaved in its event
+//!   heap.
 //!
 //! Crucially, the stream is a pure function of `(model, topology, seed)`
 //! and independent of the consuming scheduler, so synchronous and
@@ -33,7 +35,7 @@ pub use churn::{Churn, RejoinPolicy, DEFAULT_MEAN_DOWNTIME_ROUNDS};
 pub use fading::EdgeFading;
 pub use waypoint::{Waypoint, DEFAULT_SPEED_PER_ROUND};
 
-use gossip_core::{DynamicTopology, NodeId, Rng, SimTime, Topology};
+use gossip_core::{DynamicTopology, NodeId, Rng, SimTime, Topology, TopologyBatch};
 
 /// Salt mixed into the run seed to derive the mutation-stream seed, so
 /// dynamics draw from a stream decorrelated from the engine's own RNG.
@@ -86,6 +88,21 @@ impl MutationKind {
             MutationKind::EdgeUp(u, v) => topo.restore_edge(*u, *v),
             MutationKind::Rewire { node, neighbors } => {
                 topo.rewire(*node, neighbors);
+                true
+            }
+        }
+    }
+
+    /// [`apply`](Self::apply) inside an open [`TopologyBatch`]: the same
+    /// return value, with the active lists settled when the batch drops.
+    pub fn apply_in(&self, batch: &mut TopologyBatch<'_>) -> bool {
+        match self {
+            MutationKind::Depart(u) => batch.kill(*u),
+            MutationKind::Rejoin { node, .. } => batch.revive(*node),
+            MutationKind::EdgeDown(u, v) => batch.fade_edge(*u, *v),
+            MutationKind::EdgeUp(u, v) => batch.restore_edge(*u, *v),
+            MutationKind::Rewire { node, neighbors } => {
+                batch.rewire(*node, neighbors);
                 true
             }
         }

@@ -8,7 +8,7 @@
 use crate::metrics::{CoveragePoint, DynamicsStats};
 
 use gossip_core::time::TICKS_PER_ROUND;
-use gossip_core::{DynamicTopology, MessageMatrix, NodeId, SimTime, Topology};
+use gossip_core::{DynamicTopology, MessageMatrix, NodeId, SimTime, Topology, TopologyBatch};
 use gossip_dynamics::{dynamics_seed, DynamicsModel, Mutation, MutationKind, MutationStream};
 use gossip_telemetry::{MutateKind, Probe, TraceEvent};
 
@@ -37,11 +37,17 @@ pub(crate) fn mutate_event(mutation: &Mutation, round: u64) -> TraceEvent {
 const TIMELINE_CAP: usize = 2048;
 
 /// The dynamics-side state of one run: the mutating topology, the
-/// mutation stream driving it, churn-aware counters, and accumulated
-/// [`DynamicsStats`].
+/// mutation stream driving it, and the gossip-side [`Tally`].
 pub(crate) struct DynRun {
     pub topo: DynamicTopology,
     stream: Box<dyn MutationStream>,
+    pub tally: Tally,
+}
+
+/// Churn-aware counters and accumulated [`DynamicsStats`] of one run —
+/// everything but the topology and the stream, so a [`DynBatch`] can keep
+/// the books while it holds the topology's borrow.
+pub(crate) struct Tally {
     pub stats: DynamicsStats,
     /// Alive nodes currently holding the full message universe. The
     /// completion condition is `alive_informed == alive_count > 0`.
@@ -58,83 +64,23 @@ pub(crate) struct DynRun {
     record_hwm: u64,
 }
 
-impl DynRun {
-    /// Instantiate `dynamics` for a run: both schedulers derive the
-    /// stream seed identically from the engine seed, so sync and async
-    /// runs of one experiment face the same mutation sequence.
-    pub fn new(
-        topology: &Topology,
-        dynamics: &dyn DynamicsModel,
-        seed: u64,
-        states: &MessageMatrix,
-    ) -> Self {
-        dynamics
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid dynamics config: {e}"));
-        let n = topology.num_nodes();
-        let alive_informed = states.full_count();
-        let alive_messages = states.total_messages();
-        let mut run = DynRun {
-            topo: DynamicTopology::new(topology),
-            stream: dynamics.stream(topology, dynamics_seed(seed)),
-            stats: DynamicsStats {
-                model: dynamics.name(),
-                departures: 0,
-                rejoins: 0,
-                edge_downs: 0,
-                edge_ups: 0,
-                rewires: 0,
-                severed_connections: 0,
-                peak_alive: n,
-                min_alive: n,
-                final_alive: n,
-                coverage_timeline: Vec::new(),
-            },
-            alive_informed,
-            alive_messages,
-            timeline_stride: 1,
-            record_hwm: 0,
-        };
-        run.record(SimTime::ZERO);
-        run
-    }
-
-    /// Virtual time of the next pending mutation, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.stream.peek_time()
-    }
-
-    /// Pop the next mutation without applying it (the event-driven
-    /// scheduler intercepts departures to sever open connections first).
-    pub fn pop(&mut self) -> Option<Mutation> {
-        self.stream.next()
-    }
-
-    /// Is gossip complete right now? Every alive node holds the full
-    /// universe, and the network is not empty.
-    pub fn complete(&self) -> bool {
-        self.topo.alive_count() > 0 && self.alive_informed == self.topo.alive_count()
-    }
-
-    /// Apply one mutation: the topology-side effect (one source of truth:
-    /// [`MutationKind::apply`]) plus the gossip-side bookkeeping — message
-    /// resets, alive/informed counters, stats, coverage timeline. Returns
-    /// whether anything changed.
-    pub fn apply(
+impl Tally {
+    /// The gossip-side effect of a mutation that changed the topology —
+    /// message resets, alive/informed counters, stats, coverage timeline.
+    /// `alive` is the alive count after it.
+    fn account(
         &mut self,
         mutation: &Mutation,
+        alive: usize,
         states: &mut MessageMatrix,
         sources: &[NodeId],
-    ) -> bool {
-        if !mutation.kind.apply(&mut self.topo) {
-            return false;
-        }
+    ) {
         match &mutation.kind {
             MutationKind::Depart(u) => {
                 self.stats.departures += 1;
                 self.alive_informed -= states.is_full(u.index()) as usize;
                 self.alive_messages -= states.count(u.index());
-                self.stats.min_alive = self.stats.min_alive.min(self.topo.alive_count());
+                self.stats.min_alive = self.stats.min_alive.min(alive);
             }
             MutationKind::Rejoin {
                 node,
@@ -154,55 +100,13 @@ impl DynRun {
                 }
                 self.alive_informed += states.is_full(node.index()) as usize;
                 self.alive_messages += states.count(node.index());
-                self.stats.peak_alive = self.stats.peak_alive.max(self.topo.alive_count());
+                self.stats.peak_alive = self.stats.peak_alive.max(alive);
             }
             MutationKind::EdgeDown(..) => self.stats.edge_downs += 1,
             MutationKind::EdgeUp(..) => self.stats.edge_ups += 1,
             MutationKind::Rewire { .. } => self.stats.rewires += 1,
         }
-        self.record(mutation.time);
-        true
-    }
-
-    /// Apply every pending mutation with time strictly before `horizon`.
-    /// The synchronous scheduler calls this at each round boundary with
-    /// the round's end time, so a mutation takes effect at the start of
-    /// the round whose window contains it. Returns whether anything
-    /// changed.
-    pub fn drain_until(
-        &mut self,
-        horizon: SimTime,
-        states: &mut MessageMatrix,
-        sources: &[NodeId],
-    ) -> bool {
-        let mut changed = false;
-        while self.stream.peek_time().is_some_and(|t| t < horizon) {
-            let mutation = self.stream.next().expect("peeked mutation must pop");
-            changed |= self.apply(&mutation, states, sources);
-        }
-        changed
-    }
-
-    /// [`drain_until`](Self::drain_until) with a `Mutate` trace record for
-    /// every mutation that changed anything — the identical pop/apply
-    /// sequence, so enabling tracing cannot alter the run.
-    pub fn drain_until_probed(
-        &mut self,
-        horizon: SimTime,
-        states: &mut MessageMatrix,
-        sources: &[NodeId],
-        probe: &mut dyn Probe,
-        round: u64,
-    ) -> bool {
-        let mut changed = false;
-        while self.stream.peek_time().is_some_and(|t| t < horizon) {
-            let mutation = self.stream.next().expect("peeked mutation must pop");
-            if self.apply(&mutation, states, sources) {
-                changed = true;
-                probe.record(&mutate_event(&mutation, round));
-            }
-        }
-        changed
+        self.record(mutation.time, alive);
     }
 
     /// Sample the coverage timeline at `time` if the alive/informed pair
@@ -210,8 +114,7 @@ impl DynRun {
     /// sample wins, and when the timeline outgrows its cap it is thinned
     /// to every other point with a doubled stride — bounded memory at
     /// full fidelity for short runs, coarse fidelity for long ones.
-    pub fn record(&mut self, time: SimTime) {
-        let alive = self.topo.alive_count();
+    fn record(&mut self, time: SimTime, alive: usize) {
         let informed_alive = self.alive_informed;
         self.record_hwm = self.record_hwm.max(time.ticks());
         let point = CoveragePoint {
@@ -244,12 +147,179 @@ impl DynRun {
             self.timeline_stride *= 2;
         }
     }
+}
+
+impl DynRun {
+    /// Instantiate `dynamics` for a run: both schedulers derive the
+    /// stream seed identically from the engine seed, so sync and async
+    /// runs of one experiment face the same mutation sequence.
+    pub fn new(
+        topology: &Topology,
+        dynamics: &dyn DynamicsModel,
+        seed: u64,
+        states: &MessageMatrix,
+    ) -> Self {
+        dynamics
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid dynamics config: {e}"));
+        let n = topology.num_nodes();
+        let mut run = DynRun {
+            topo: DynamicTopology::new(topology),
+            stream: dynamics.stream(topology, dynamics_seed(seed)),
+            tally: Tally {
+                stats: DynamicsStats {
+                    model: dynamics.name(),
+                    departures: 0,
+                    rejoins: 0,
+                    edge_downs: 0,
+                    edge_ups: 0,
+                    rewires: 0,
+                    severed_connections: 0,
+                    peak_alive: n,
+                    min_alive: n,
+                    final_alive: n,
+                    coverage_timeline: Vec::new(),
+                },
+                alive_informed: states.full_count(),
+                alive_messages: states.total_messages(),
+                timeline_stride: 1,
+                record_hwm: 0,
+            },
+        };
+        run.record(SimTime::ZERO);
+        run
+    }
+
+    /// Virtual time of the next pending mutation, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.stream.peek_time()
+    }
+
+    /// Pop the next mutation without applying it (the event-driven
+    /// scheduler intercepts departures to sever open connections first).
+    pub fn pop(&mut self) -> Option<Mutation> {
+        self.stream.next()
+    }
+
+    /// Is gossip complete right now? Every alive node holds the full
+    /// universe, and the network is not empty.
+    pub fn complete(&self) -> bool {
+        self.topo.alive_count() > 0 && self.tally.alive_informed == self.topo.alive_count()
+    }
+
+    /// Apply one mutation incrementally: the topology-side effect (one
+    /// source of truth: [`MutationKind::apply`]) plus the gossip-side
+    /// bookkeeping. Returns whether anything changed.
+    pub fn apply(
+        &mut self,
+        mutation: &Mutation,
+        states: &mut MessageMatrix,
+        sources: &[NodeId],
+    ) -> bool {
+        if !mutation.kind.apply(&mut self.topo) {
+            return false;
+        }
+        let alive = self.topo.alive_count();
+        self.tally.account(mutation, alive, states, sources);
+        true
+    }
+
+    /// Open a batch of mutations; the topology's active lists settle when
+    /// it drops.
+    pub fn batch(&mut self) -> DynBatch<'_> {
+        DynBatch {
+            topo: self.topo.batch(),
+            stream: &mut *self.stream,
+            tally: &mut self.tally,
+        }
+    }
+
+    /// Apply every pending mutation with time strictly before `horizon`,
+    /// as one batch. The synchronous scheduler calls this at each round
+    /// boundary with the round's end time, so a mutation takes effect at
+    /// the start of the round whose window contains it. Returns whether
+    /// anything changed.
+    pub fn drain_until(
+        &mut self,
+        horizon: SimTime,
+        states: &mut MessageMatrix,
+        sources: &[NodeId],
+    ) -> bool {
+        let mut batch = self.batch();
+        let mut changed = false;
+        while let Some(mutation) = batch.pop_before(horizon) {
+            changed |= batch.apply(&mutation, states, sources);
+        }
+        changed
+    }
+
+    /// [`drain_until`](Self::drain_until) with a `Mutate` trace record for
+    /// every mutation that changed anything — the identical pop/apply
+    /// sequence, so enabling tracing cannot alter the run.
+    pub fn drain_until_probed(
+        &mut self,
+        horizon: SimTime,
+        states: &mut MessageMatrix,
+        sources: &[NodeId],
+        probe: &mut dyn Probe,
+        round: u64,
+    ) -> bool {
+        let mut batch = self.batch();
+        let mut changed = false;
+        while let Some(mutation) = batch.pop_before(horizon) {
+            if batch.apply(&mutation, states, sources) {
+                changed = true;
+                probe.record(&mutate_event(&mutation, round));
+            }
+        }
+        changed
+    }
+
+    /// Sample the coverage timeline at `time` (see [`Tally`]).
+    pub fn record(&mut self, time: SimTime) {
+        self.tally.record(time, self.topo.alive_count());
+    }
 
     /// Finalize and hand over the stats.
     pub fn finish(mut self, end: SimTime) -> DynamicsStats {
         self.record(end);
-        self.stats.final_alive = self.topo.alive_count();
-        self.stats
+        self.tally.stats.final_alive = self.topo.alive_count();
+        self.tally.stats
+    }
+}
+
+/// One batch of mutations over a run, from [`DynRun::batch`] until it
+/// drops: the open [`TopologyBatch`], the stream, and the books.
+pub(crate) struct DynBatch<'a> {
+    pub topo: TopologyBatch<'a>,
+    stream: &'a mut dyn MutationStream,
+    pub tally: &'a mut Tally,
+}
+
+impl DynBatch<'_> {
+    /// Pop the next mutation if it is due strictly before `horizon`.
+    pub fn pop_before(&mut self, horizon: SimTime) -> Option<Mutation> {
+        if self.stream.peek_time()? < horizon {
+            Some(self.stream.next().expect("peeked mutation must pop"))
+        } else {
+            None
+        }
+    }
+
+    /// [`DynRun::apply`] inside the batch (topology side:
+    /// [`MutationKind::apply_in`]). Returns whether anything changed.
+    pub fn apply(
+        &mut self,
+        mutation: &Mutation,
+        states: &mut MessageMatrix,
+        sources: &[NodeId],
+    ) -> bool {
+        if !mutation.kind.apply_in(&mut self.topo) {
+            return false;
+        }
+        let alive = self.topo.alive_count();
+        self.tally.account(mutation, alive, states, sources);
+        true
     }
 }
 
@@ -301,7 +371,7 @@ mod tests {
     fn departure_updates_completion_counters() {
         let sources = [NodeId(0)];
         let (mut run, mut states) = setup(1, &sources);
-        assert_eq!(run.alive_informed, 1);
+        assert_eq!(run.tally.alive_informed, 1);
         assert!(!run.complete(), "3 uninformed nodes remain");
 
         // Killing the informed source leaves 3 alive, none informed.
@@ -310,10 +380,10 @@ mod tests {
             &mut states,
             &sources
         ));
-        assert_eq!(run.alive_informed, 0);
-        assert_eq!(run.alive_messages, 0);
-        assert_eq!(run.stats.departures, 1);
-        assert_eq!(run.stats.min_alive, 3);
+        assert_eq!(run.tally.alive_informed, 0);
+        assert_eq!(run.tally.alive_messages, 0);
+        assert_eq!(run.tally.stats.departures, 1);
+        assert_eq!(run.tally.stats.min_alive, 3);
 
         // Killing the remaining uninformed nodes can never complete the
         // run: an empty network is not a covered one.
@@ -326,7 +396,7 @@ mod tests {
         }
         assert_eq!(run.topo.alive_count(), 0);
         assert!(!run.complete(), "empty networks never complete");
-        assert_eq!(run.stats.min_alive, 0);
+        assert_eq!(run.tally.stats.min_alive, 0);
     }
 
     #[test]
@@ -349,15 +419,15 @@ mod tests {
         let (mut run, mut states) = setup(2, &sources);
         // Node 2 learns rumor 0 as well, then churns with the Lose policy.
         states.insert(2, 0);
-        run.alive_messages += 1;
-        run.alive_informed += 1;
+        run.tally.alive_messages += 1;
+        run.tally.alive_informed += 1;
 
         run.apply(
             &at(5, MutationKind::Depart(NodeId(2))),
             &mut states,
             &sources,
         );
-        assert_eq!(run.alive_informed, 0);
+        assert_eq!(run.tally.alive_informed, 0);
         assert!(run.apply(
             &at(
                 9,
@@ -372,9 +442,9 @@ mod tests {
         // The learned rumor 0 is gone; its own rumor 1 is re-learned.
         assert!(!states.contains(2, 0));
         assert!(states.contains(2, 1));
-        assert_eq!(run.stats.rejoins, 1);
-        assert_eq!(run.alive_informed, 0);
-        assert_eq!(run.stats.peak_alive, 4);
+        assert_eq!(run.tally.stats.rejoins, 1);
+        assert_eq!(run.tally.alive_informed, 0);
+        assert_eq!(run.tally.stats.peak_alive, 4);
     }
 
     #[test]
@@ -398,7 +468,7 @@ mod tests {
             &sources,
         );
         assert!(states.contains(0, 0));
-        assert_eq!(run.alive_informed, 1);
+        assert_eq!(run.tally.alive_informed, 1);
     }
 
     #[test]
@@ -415,13 +485,13 @@ mod tests {
             &mut states,
             &sources
         ));
-        assert_eq!(run.stats.departures, 1);
+        assert_eq!(run.tally.stats.departures, 1);
         assert!(!run.apply(
             &at(3, MutationKind::EdgeDown(NodeId(0), NodeId(2))),
             &mut states,
             &sources,
         ));
-        assert_eq!(run.stats.edge_downs, 0, "non-edges cannot fade");
+        assert_eq!(run.tally.stats.edge_downs, 0, "non-edges cannot fade");
     }
 
     #[test]
@@ -429,7 +499,7 @@ mod tests {
         let sources = [NodeId(0)];
         let (mut run, mut states) = setup(1, &sources);
         assert_eq!(
-            run.stats.coverage_timeline,
+            run.tally.stats.coverage_timeline,
             vec![CoveragePoint {
                 time: 0,
                 alive: 4,
@@ -450,7 +520,7 @@ mod tests {
             };
             run.apply(&at(i * TICKS_PER_ROUND * 2, kind), &mut states, &sources);
         }
-        let timeline = &run.stats.coverage_timeline;
+        let timeline = &run.tally.stats.coverage_timeline;
         assert!(timeline.len() < 4096, "timeline must stay bounded");
         assert!(timeline.windows(2).all(|w| w[0].time <= w[1].time));
         assert!(timeline

@@ -570,8 +570,8 @@ impl AsyncScheduler {
                 epochs.flush_rows_below(
                     history,
                     event_row,
-                    dynr.alive_informed,
-                    dynr.alive_messages,
+                    dynr.tally.alive_informed,
+                    dynr.tally.alive_messages,
                 );
             }
 
@@ -593,7 +593,7 @@ impl AsyncScheduler {
                                         matcher.release(u, v);
                                         partner[u.index()] = None;
                                         partner[v.index()] = None;
-                                        dynr.stats.severed_connections += 1;
+                                        dynr.tally.stats.severed_connections += 1;
                                         if !u_initiated {
                                             // The survivor initiated: its
                                             // act chain was parked on the
@@ -740,9 +740,9 @@ impl AsyncScheduler {
                     let before_j = states.is_full(j);
                     let moved = states.union_pair(i, j);
                     // Both endpoints are alive: a death would have severed.
-                    dynr.alive_informed += (states.is_full(i) && !before_i) as usize;
-                    dynr.alive_informed += (states.is_full(j) && !before_j) as usize;
-                    dynr.alive_messages += moved;
+                    dynr.tally.alive_informed += (states.is_full(i) && !before_i) as usize;
+                    dynr.tally.alive_informed += (states.is_full(j) && !before_j) as usize;
+                    dynr.tally.alive_messages += moved;
 
                     result.total_connections += 1;
                     if moved > 0 {
@@ -772,7 +772,7 @@ impl AsyncScheduler {
             }
         }
 
-        result.complete_nodes = dynr.alive_informed;
+        result.complete_nodes = dynr.tally.alive_informed;
         result.virtual_time = now.ticks().min(max_time);
         result.rounds_executed = SimTime(result.virtual_time)
             .round_equivalent()
@@ -782,8 +782,8 @@ impl AsyncScheduler {
             epochs.flush_rows_below(
                 history,
                 result.rounds_executed + 1,
-                dynr.alive_informed,
-                dynr.alive_messages,
+                dynr.tally.alive_informed,
+                dynr.tally.alive_messages,
             );
         }
         result.dynamics = Some(dynr.finish(SimTime(result.virtual_time)));

@@ -781,8 +781,8 @@ impl Scheduler for SyncScheduler {
             } else {
                 states.union_pairs_parallel(&resolution.connections, self.threads)
             };
-            dynr.alive_informed += transfer.newly_full;
-            dynr.alive_messages += transfer.moved;
+            dynr.tally.alive_informed += transfer.newly_full;
+            dynr.tally.alive_messages += transfer.moved;
 
             let formed = resolution.connections.len();
             result.rounds_executed = round;
@@ -796,8 +796,8 @@ impl Scheduler for SyncScheduler {
                     round,
                     connections: formed,
                     productive: transfer.productive,
-                    complete_nodes: dynr.alive_informed,
-                    messages_held: dynr.alive_messages,
+                    complete_nodes: dynr.tally.alive_informed,
+                    messages_held: dynr.tally.alive_messages,
                 });
             }
 
@@ -816,7 +816,7 @@ impl Scheduler for SyncScheduler {
             }
         }
 
-        result.complete_nodes = dynr.alive_informed;
+        result.complete_nodes = dynr.tally.alive_informed;
         result.virtual_time = result.rounds_executed as u64 * TICKS_PER_ROUND;
         result.virtual_time_to_completion = result
             .rounds_to_completion
@@ -1008,8 +1008,8 @@ impl Scheduler for SyncScheduler {
             } else {
                 states.union_pairs_parallel(&resolution.connections, self.threads)
             };
-            dynr.alive_informed += transfer.newly_full;
-            dynr.alive_messages += transfer.moved;
+            dynr.tally.alive_informed += transfer.newly_full;
+            dynr.tally.alive_messages += transfer.moved;
 
             let formed = resolution.connections.len();
             result.rounds_executed = round;
@@ -1023,8 +1023,8 @@ impl Scheduler for SyncScheduler {
                     round,
                     connections: formed,
                     productive: transfer.productive,
-                    complete_nodes: dynr.alive_informed,
-                    messages_held: dynr.alive_messages,
+                    complete_nodes: dynr.tally.alive_informed,
+                    messages_held: dynr.tally.alive_messages,
                 });
             }
 
@@ -1043,7 +1043,7 @@ impl Scheduler for SyncScheduler {
             }
         }
 
-        result.complete_nodes = dynr.alive_informed;
+        result.complete_nodes = dynr.tally.alive_informed;
         result.virtual_time = result.rounds_executed as u64 * TICKS_PER_ROUND;
         result.virtual_time_to_completion = result
             .rounds_to_completion

@@ -986,18 +986,19 @@ pub(crate) fn run_dynamic_sliced(
             });
         }
 
-        // Phase 0 (serial): apply every mutation due inside this slice
-        // before any of its events execute, so deaths precede the
-        // slice's unions both physically and in the accounting.
+        // Phase 0 (serial): apply every mutation due inside this slice,
+        // as one batch, before any of its events execute, so deaths
+        // precede the slice's unions both physically and in the
+        // accounting.
         let t2 = Instant::now();
         let mut rng_mut = Rng::stream(seed, pass, MUTATE_STREAM);
         let mut mutated = false;
         let mut last_mut: u64 = 0;
-        while dynr.peek_time().is_some_and(|t| t.ticks() < end) {
-            let mutation = dynr.pop().expect("peeked mutation must pop");
+        let mut batch = dynr.batch();
+        while let Some(mutation) = batch.pop_before(SimTime(end)) {
             let mtime = mutation.time;
             if let MutationKind::Depart(u) = mutation.kind {
-                if dynr.topo.is_alive(u) {
+                if batch.topo.is_alive(u) {
                     // Disentangle the node before it goes down.
                     match matcher.state(u) {
                         PeerState::Free => {}
@@ -1008,7 +1009,7 @@ pub(crate) fn run_dynamic_sliced(
                             matcher.release(u, v);
                             partner[u.index()] = None;
                             partner[v.index()] = None;
-                            dynr.stats.severed_connections += 1;
+                            batch.tally.stats.severed_connections += 1;
                             if tracing {
                                 probe.record(&TraceEvent::Sever {
                                     t: mtime.ticks(),
@@ -1032,7 +1033,7 @@ pub(crate) fn run_dynamic_sliced(
                     gens[u.index()] += 1;
                 }
             }
-            let applied = dynr.apply(&mutation, &mut states, sources);
+            let applied = batch.apply(&mutation, &mut states, sources);
             if applied && tracing {
                 probe.record(&mutate_event(&mutation, mtime.round_equivalent() as u64));
             }
@@ -1049,6 +1050,7 @@ pub(crate) fn run_dynamic_sliced(
             mutated = true;
             last_mut = mtime.ticks();
         }
+        drop(batch); // settles the active lists
         if mutated && dynr.complete() {
             result.completed = true;
             result.virtual_time_to_completion = Some(last_mut);
@@ -1143,8 +1145,8 @@ pub(crate) fn run_dynamic_sliced(
                         epochs.flush_rows_below(
                             history,
                             row,
-                            dynr.alive_informed,
-                            dynr.alive_messages,
+                            dynr.tally.alive_informed,
+                            dynr.tally.alive_messages,
                         );
                     }
                     result.dropped_proposals += 1;
@@ -1163,12 +1165,12 @@ pub(crate) fn run_dynamic_sliced(
                         epochs.flush_rows_below(
                             history,
                             row,
-                            dynr.alive_informed,
-                            dynr.alive_messages,
+                            dynr.tally.alive_informed,
+                            dynr.tally.alive_messages,
                         );
                     }
-                    dynr.alive_informed += newly_full;
-                    dynr.alive_messages += moved;
+                    dynr.tally.alive_informed += newly_full;
+                    dynr.tally.alive_messages += moved;
                     result.total_connections += 1;
                     if moved > 0 {
                         result.productive_connections += 1;
@@ -1207,7 +1209,12 @@ pub(crate) fn run_dynamic_sliced(
             sweep_events += 1;
             if let Some(history) = &mut result.rounds {
                 let row = now.round_equivalent().max(1);
-                epochs.flush_rows_below(history, row, dynr.alive_informed, dynr.alive_messages);
+                epochs.flush_rows_below(
+                    history,
+                    row,
+                    dynr.tally.alive_informed,
+                    dynr.tally.alive_messages,
+                );
             }
             match ev.event {
                 Ev::Attempt { from, to, gen } => {
@@ -1282,8 +1289,8 @@ pub(crate) fn run_dynamic_sliced(
                     } else {
                         states.union_pair_stats(i, j)
                     };
-                    dynr.alive_informed += stats.newly_full;
-                    dynr.alive_messages += stats.moved;
+                    dynr.tally.alive_informed += stats.newly_full;
+                    dynr.tally.alive_messages += stats.moved;
                     result.total_connections += 1;
                     if stats.moved > 0 {
                         result.productive_connections += 1;
@@ -1313,7 +1320,7 @@ pub(crate) fn run_dynamic_sliced(
         timings.sweep += t2.elapsed();
     }
 
-    result.complete_nodes = dynr.alive_informed;
+    result.complete_nodes = dynr.tally.alive_informed;
     result.virtual_time = now_ticks.min(max_time);
     result.rounds_executed = SimTime(result.virtual_time)
         .round_equivalent()
@@ -1322,8 +1329,8 @@ pub(crate) fn run_dynamic_sliced(
         epochs.flush_rows_below(
             history,
             result.rounds_executed + 1,
-            dynr.alive_informed,
-            dynr.alive_messages,
+            dynr.tally.alive_informed,
+            dynr.tally.alive_messages,
         );
     }
     result.membership = mem.as_ref().map(|m| m.finish(Some(dynr.topo.alive_mask())));
